@@ -110,8 +110,10 @@ void ThreadPool::Run(int num_tasks, FunctionRef<void(int)> fn) {
   counters.tasks->Add(num_tasks);
   counters.caller_tasks->Add(caller_tasks);
   counters.worker_tasks->Add(num_tasks - caller_tasks);
-  // Wait until every task has run AND every worker has left the claim loop;
-  // the latter makes it safe for the next Run to reset the ticket counter.
+  // Wait until every task has run AND every worker that joined this job has
+  // left its claim loop. A worker that wakes only after we return is kept
+  // out by WorkerLoop's invariant: a worker enters the claim loop only for a
+  // job that still has tasks left.
   std::unique_lock<std::mutex> lock(mu_);
   done_cv_.wait(lock,
                 [this] { return remaining_tasks_ == 0 && active_workers_ == 0; });
@@ -127,6 +129,10 @@ void ThreadPool::WorkerLoop() {
     wake_cv_.wait(lock, [&] { return stop_ || generation_ != seen_generation; });
     if (stop_) return;
     seen_generation = generation_;
+    // Late wakeup: this job already finished and Run may have returned.
+    // Joining it would let the next Run's ticket reset hand this worker a
+    // ticket of the next job, to run with this job's (cleared) fn_ and count.
+    if (remaining_tasks_ == 0) continue;
     FunctionRef<void(int)> fn = fn_;
     Arena* job_arena = job_arena_;
     int total = total_tasks_;

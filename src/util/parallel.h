@@ -44,6 +44,12 @@ class ThreadPool {
   /// never allocates; the caller's Arena planning scope, if any, is
   /// propagated to the workers for the duration of the job, so buffers a
   /// worker sizes during a planning pass land in the arena too.
+  ///
+  /// Precondition: at most one thread submits to a given pool at a time —
+  /// the pool has a single job slot, and concurrent Runs are not detected.
+  /// A worker that wakes for a job only after it has finished (a late
+  /// wakeup) does not join it, so it cannot take a ticket of the next job
+  /// (docs/PARALLELISM.md, "Threading model").
   void Run(int num_tasks, FunctionRef<void(int)> fn);
 
  private:

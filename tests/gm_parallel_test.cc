@@ -176,6 +176,26 @@ TEST(ParallelNestingTest, NestedParallelCallsFallBackToSerial) {
   }
 }
 
+// Regression test for a late-wakeup race: a worker that woke for job N only
+// after Run had returned could claim a ticket of job N+1 with job N's (null)
+// task and task count — a SEGFAULT, or a dropped task and a hung Run. Many
+// short back-to-back jobs on a dedicated 7-worker pool (independent of the
+// machine's size) make a straggling wakeup almost certain. A hang is one of
+// the failure modes, so tests/CMakeLists.txt gives this test a short ctest
+// timeout.
+TEST(ThreadPoolTest, BackToBackRunsNeverStraddleJobs) {
+  ThreadPool pool(7);
+  constexpr int kRuns = 100000;
+  std::atomic<std::int64_t> sum{0};
+  std::int64_t expected = 0;
+  for (int i = 0; i < kRuns; ++i) {
+    const int n = 1 + i % 8;
+    pool.Run(n, [&](int t) { sum.fetch_add(t + 1, std::memory_order_relaxed); });
+    expected += std::int64_t{n} * (n + 1) / 2;
+  }
+  EXPECT_EQ(sum.load(), expected);
+}
+
 // ---------------------------------------------------------------------------
 // Sharded E-step determinism, across sizes below and above the grain.
 
