@@ -6,8 +6,10 @@
 
 #include "regularizer_property_suite.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <initializer_list>
 #include <memory>
 #include <set>
 #include <string>
@@ -25,20 +27,30 @@
 namespace gmreg {
 namespace testing {
 
+const std::string& RegContractSpec::config() const {
+  return RegularizerExampleConfigs()[config_index];
+}
+
 std::vector<RegContractSpec> AllRegContractSpecs() {
   std::vector<RegContractSpec> specs;
-  for (const std::string& config : RegularizerExampleConfigs()) {
+  const std::vector<std::string>& examples = RegularizerExampleConfigs();
+  for (std::size_t i = 0; i < examples.size(); ++i) {
+    const std::string& config = examples[i];
     std::string kind = config.substr(0, config.find(':'));
     RegContractSpec spec;
-    spec.config = config;
+    spec.config_index = static_cast<std::int16_t>(i);
+    auto set_kinks = [&spec](std::initializer_list<double> values) {
+      std::copy(values.begin(), values.end(), spec.kinks.begin());
+      spec.num_kinks = static_cast<std::uint8_t>(values.size());
+    };
     if (kind == "none" || kind == "l2") {
       // Defaults: non-negative, cross-budget bitwise, stateless, smooth.
     } else if (kind == "l1" || kind == "elastic") {
-      spec.kinks = {0.0};
+      set_kinks({0.0});
     } else if (kind == "huber") {
       // C1 at +-mu but with a curvature jump; keep FD probes away. The
       // magnitude matches the example config's mu.
-      spec.kinks = {0.0, 0.1};
+      set_kinks({0.0, 0.1});
     } else if (kind == "gm") {
       // -log p(w) of a density can go negative; the shard count of its
       // reductions follows the thread budget (1e-12 closeness across
@@ -53,7 +65,7 @@ std::vector<RegContractSpec> AllRegContractSpecs() {
       spec.penalty_nonnegative = false;  // includes -M log(alpha/2) etc.
       spec.adaptive = true;
       spec.monotone_penalty = true;
-      spec.kinks = {0.0};  // |w| term in Laplace mode
+      set_kinks({0.0});  // |w| term in Laplace mode
     } else if (kind == "dynprior") {
       spec.adaptive = true;
       spec.monotone_penalty = true;  // schedules are non-increasing
@@ -107,7 +119,7 @@ class RegContractTest : public ::testing::TestWithParam<RegContractSpec> {};
 
 std::string SpecName(const ::testing::TestParamInfo<RegContractSpec>& info) {
   std::string name;
-  for (char c : info.param.config) {
+  for (char c : info.param.config()) {
     name.push_back(std::isalnum(static_cast<unsigned char>(c)) ? c : '_');
   }
   return name;
@@ -139,7 +151,7 @@ TEST(RegContractCoverage, EveryKindHasExampleConfigAndSpec) {
       << "a factory example config has no RegContractSpec — declare the "
          "new prior's contract in AllRegContractSpecs()";
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    EXPECT_EQ(specs[i].config, examples[i]);
+    EXPECT_EQ(specs[i].config(), examples[i]);
   }
 }
 
@@ -147,14 +159,14 @@ TEST(RegContractCoverage, EveryKindHasExampleConfigAndSpec) {
 // Battery, one TEST_P per contract clause.
 
 TEST_P(RegContractTest, BuildsFromFactoryWithName) {
-  std::unique_ptr<Regularizer> reg = MakeReg(GetParam().config);
+  std::unique_ptr<Regularizer> reg = MakeReg(GetParam().config());
   ASSERT_NE(reg, nullptr);
   EXPECT_FALSE(reg->Name().empty());
 }
 
 TEST_P(RegContractTest, PenaltyFiniteAndNonNegativeWhereDeclared) {
   const RegContractSpec& spec = GetParam();
-  std::unique_ptr<Regularizer> reg = MakeReg(spec.config);
+  std::unique_ptr<Regularizer> reg = MakeReg(spec.config());
   Tensor w = MakeBimodalWeightTensor(kSuiteDims, 7);
   double p0 = reg->Penalty(w);
   EXPECT_TRUE(std::isfinite(p0)) << p0;
@@ -173,15 +185,18 @@ TEST_P(RegContractTest, PenaltyFiniteAndNonNegativeWhereDeclared) {
 TEST_P(RegContractTest, GradientMatchesFiniteDifferenceOfPenalty) {
   const RegContractSpec& spec = GetParam();
   Tensor w = RandomWeightsAwayFromKinks(kSuiteDims, 31, /*min_abs=*/0.05,
-                                        spec.kinks);
+                                        std::vector<double>(
+                                            spec.kinks.begin(),
+                                            spec.kinks.begin() +
+                                                spec.num_kinks));
 
   // Analytic gradient from one fresh instance; FD of Penalty on another.
   // Both start from the same config, and every implementation computes the
   // gradient under its pre-update state (E-before-M ordering), so the two
   // fresh instances agree. iteration=1 keeps lazy schedules off the update
   // grid where possible.
-  std::unique_ptr<Regularizer> analytic_reg = MakeReg(spec.config);
-  std::unique_ptr<Regularizer> fd_reg = MakeReg(spec.config);
+  std::unique_ptr<Regularizer> analytic_reg = MakeReg(spec.config());
+  std::unique_ptr<Regularizer> fd_reg = MakeReg(spec.config());
   Tensor grad({kSuiteDims});
   grad.SetZero();
   analytic_reg->AccumulateGradient(w, /*iteration=*/1, /*epoch=*/0,
@@ -209,7 +224,7 @@ TEST_P(RegContractTest, GradientMatchesFiniteDifferenceOfPenalty) {
     double tol =
         1e-3 * std::max(std::fabs(numeric), std::fabs(analytic)) + 1e-4;
     EXPECT_NEAR(numeric, analytic, tol)
-        << spec.config << " element " << i;
+        << spec.config() << " element " << i;
   }
 }
 
@@ -218,7 +233,7 @@ TEST_P(RegContractTest, AdaptiveUpdatesNeverIncreasePenaltyOnFixedWeights) {
   if (!spec.monotone_penalty) {
     GTEST_SKIP() << "penalty monotonicity is not part of this contract";
   }
-  std::unique_ptr<Regularizer> reg = MakeReg(spec.config);
+  std::unique_ptr<Regularizer> reg = MakeReg(spec.config());
   Tensor w = MakeBimodalWeightTensor(kSuiteDims, 13);
   Tensor grad({kSuiteDims});
   double prev = reg->Penalty(w);
@@ -238,18 +253,18 @@ TEST_P(RegContractTest, BitwiseReproducibleRunToRunAtEachBudget) {
     ScopedThreadBudget scoped(budget);
     Tensor w1 = MakeBimodalWeightTensor(kSuiteDims, 17);
     Tensor w2 = MakeBimodalWeightTensor(kSuiteDims, 17);
-    std::unique_ptr<Regularizer> r1 = MakeReg(spec.config);
-    std::unique_ptr<Regularizer> r2 = MakeReg(spec.config);
+    std::unique_ptr<Regularizer> r1 = MakeReg(spec.config());
+    std::unique_ptr<Regularizer> r2 = MakeReg(spec.config());
     RunTrajectory(r1.get(), &w1, 6, 0);
     RunTrajectory(r2.get(), &w2, 6, 0);
     ExpectTensorBitwiseEqual(
-        w1, w2, spec.config + " @" + std::to_string(budget) + " threads");
+        w1, w2, spec.config() + " @" + std::to_string(budget) + " threads");
     EXPECT_EQ(BitsOf(r1->Penalty(w1)), BitsOf(r2->Penalty(w2)))
-        << spec.config << " penalty @" << budget << " threads";
+        << spec.config() << " penalty @" << budget << " threads";
     std::string s1, s2;
     EXPECT_EQ(r1->SaveState(&s1), r2->SaveState(&s2));
     if (spec.state_deterministic) {
-      EXPECT_EQ(s1, s2) << spec.config << " state @" << budget << " threads";
+      EXPECT_EQ(s1, s2) << spec.config() << " state @" << budget << " threads";
     }
   }
 }
@@ -261,7 +276,7 @@ TEST_P(RegContractTest, BitwiseIdenticalAcrossThreadBudgets) {
                     "bitwise only per budget (docs/REGULARIZERS.md)";
   }
   Tensor ref = MakeBimodalWeightTensor(kSuiteDims, 19);
-  std::unique_ptr<Regularizer> ref_reg = MakeReg(spec.config);
+  std::unique_ptr<Regularizer> ref_reg = MakeReg(spec.config());
   double ref_penalty;
   std::string ref_state;
   {
@@ -273,66 +288,66 @@ TEST_P(RegContractTest, BitwiseIdenticalAcrossThreadBudgets) {
   for (int budget : {2, 4}) {
     ScopedThreadBudget scoped(budget);
     Tensor w = MakeBimodalWeightTensor(kSuiteDims, 19);
-    std::unique_ptr<Regularizer> reg = MakeReg(spec.config);
+    std::unique_ptr<Regularizer> reg = MakeReg(spec.config());
     RunTrajectory(reg.get(), &w, 6, 0);
     ExpectTensorBitwiseEqual(
-        ref, w, spec.config + " 1-thread vs " + std::to_string(budget));
+        ref, w, spec.config() + " 1-thread vs " + std::to_string(budget));
     EXPECT_EQ(BitsOf(ref_penalty), BitsOf(reg->Penalty(w)))
-        << spec.config << " penalty, 1 vs " << budget << " threads";
+        << spec.config() << " penalty, 1 vs " << budget << " threads";
     std::string state;
     reg->SaveState(&state);
     EXPECT_EQ(ref_state, state)
-        << spec.config << " state, 1 vs " << budget << " threads";
+        << spec.config() << " state, 1 vs " << budget << " threads";
   }
 }
 
 TEST_P(RegContractTest, CheckpointSaveLoadStepBitExact) {
   const RegContractSpec& spec = GetParam();
   Tensor w = MakeBimodalWeightTensor(kSuiteDims, 23);
-  std::unique_ptr<Regularizer> original = MakeReg(spec.config);
+  std::unique_ptr<Regularizer> original = MakeReg(spec.config());
   RunTrajectory(original.get(), &w, 5, 0);
 
   std::string state;
   bool has_state = original->SaveState(&state);
   EXPECT_EQ(has_state, spec.adaptive)
-      << "adaptive flag and SaveState disagree for " << spec.config;
+      << "adaptive flag and SaveState disagree for " << spec.config();
 
-  std::unique_ptr<Regularizer> resumed = MakeReg(spec.config);
+  std::unique_ptr<Regularizer> resumed = MakeReg(spec.config());
   Status load = resumed->LoadState(has_state ? state : std::string());
-  ASSERT_TRUE(load.ok()) << spec.config << ": " << load.ToString();
+  ASSERT_TRUE(load.ok()) << spec.config() << ": " << load.ToString();
 
   // Both continue from the same weights; the resumed instance must track
   // the original bit-for-bit.
   Tensor w_resumed = w;
   RunTrajectory(original.get(), &w, 2, /*start_it=*/5);
   RunTrajectory(resumed.get(), &w_resumed, 2, /*start_it=*/5);
-  ExpectTensorBitwiseEqual(w, w_resumed, spec.config + " resumed weights");
+  ExpectTensorBitwiseEqual(w, w_resumed, spec.config() + " resumed weights");
   EXPECT_EQ(BitsOf(original->Penalty(w)), BitsOf(resumed->Penalty(w_resumed)))
-      << spec.config << " resumed penalty";
+      << spec.config() << " resumed penalty";
   std::string s_orig, s_resumed;
   EXPECT_EQ(original->SaveState(&s_orig), resumed->SaveState(&s_resumed));
   if (spec.state_deterministic) {
-    EXPECT_EQ(s_orig, s_resumed) << spec.config << " resumed state";
+    EXPECT_EQ(s_orig, s_resumed) << spec.config() << " resumed state";
   }
 }
 
 TEST_P(RegContractTest, LoadStateRejectsGarbage) {
   const RegContractSpec& spec = GetParam();
-  std::unique_ptr<Regularizer> reg = MakeReg(spec.config);
+  std::unique_ptr<Regularizer> reg = MakeReg(spec.config());
   EXPECT_FALSE(reg->LoadState("definitely not a state record").ok())
-      << spec.config;
+      << spec.config();
   if (spec.adaptive) {
     // Flipping the magic must be enough for rejection, even when the rest
     // of the record is this regularizer's own serialization.
     std::string state;
     ASSERT_TRUE(reg->SaveState(&state));
-    EXPECT_FALSE(reg->LoadState("x" + state).ok()) << spec.config;
+    EXPECT_FALSE(reg->LoadState("x" + state).ok()) << spec.config();
   }
 }
 
 TEST_P(RegContractTest, MetricsAppendIsConstAndPrefixed) {
   const RegContractSpec& spec = GetParam();
-  std::unique_ptr<Regularizer> reg = MakeReg(spec.config);
+  std::unique_ptr<Regularizer> reg = MakeReg(spec.config());
   Tensor w = MakeBimodalWeightTensor(kSuiteDims, 29);
   RunTrajectory(reg.get(), &w, 3, 0);
 
@@ -342,16 +357,16 @@ TEST_P(RegContractTest, MetricsAppendIsConstAndPrefixed) {
   reg->AppendMetrics("reg", &record);
   std::string after;
   reg->SaveState(&after);
-  EXPECT_EQ(before, after) << "AppendMetrics mutated " << spec.config;
+  EXPECT_EQ(before, after) << "AppendMetrics mutated " << spec.config();
 
   for (const auto& field : record.fields) {
     EXPECT_EQ(field.first.compare(0, 4, "reg."), 0)
-        << spec.config << " field '" << field.first
+        << spec.config() << " field '" << field.first
         << "' ignores the prefix";
   }
   if (spec.adaptive) {
     EXPECT_FALSE(record.fields.empty())
-        << spec.config << " reports no telemetry";
+        << spec.config() << " reports no telemetry";
   }
 }
 
@@ -363,7 +378,7 @@ TEST_P(RegContractTest, SteadyStateAccumulateIsAllocFree) {
   // measured window. This binary links testutil/alloc_interposer.cc; under
   // sanitizers the assertion is skipped and the test runs as smoke.
   const RegContractSpec& spec = GetParam();
-  std::unique_ptr<Regularizer> reg = MakeReg(spec.config);
+  std::unique_ptr<Regularizer> reg = MakeReg(spec.config());
   Tensor w = MakeBimodalWeightTensor(kSuiteDims, 31);
   // RunTrajectory allocates its grad tensor per call, so the measured loop
   // is inlined here against a pre-sized grad.
@@ -383,7 +398,7 @@ TEST_P(RegContractTest, SteadyStateAccumulateIsAllocFree) {
   steps(8, /*start_it=*/24);
   std::int64_t delta = HeapAllocCount() - before;
   if (ZeroAllocAssertsEnabled()) {
-    EXPECT_EQ(delta, 0) << spec.config << " allocated in steady state";
+    EXPECT_EQ(delta, 0) << spec.config() << " allocated in steady state";
   }
 }
 

@@ -26,15 +26,29 @@
 /// (ROADMAP: GMRF mixture) a small follow-up instead of a bespoke test
 /// effort.
 
+#include <array>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 namespace gmreg {
 namespace testing {
 
+/// gtest names each parameter after its raw object bytes, and those names
+/// become the ctest test names. The spec therefore holds no pointer (a
+/// std::string or std::vector member put heap addresses into the names, so
+/// they changed on every build) and no padding byte: its bytes are a pure
+/// function of the spec. The config string and the kink list live behind
+/// config() and the fixed `kinks` array instead.
 struct RegContractSpec {
-  /// Factory config string (one of RegularizerExampleConfigs()).
-  std::string config;
+  /// Room for the most kinks any spec declares.
+  static constexpr int kMaxKinks = 7;
+
+  /// |w| magnitudes where the penalty is non-smooth (0 = kink at zero);
+  /// the FD gradient check samples weights away from the first num_kinks.
+  std::array<double, kMaxKinks> kinks = {};
+  /// Position of the factory config in RegularizerExampleConfigs().
+  std::int16_t config_index = 0;
   /// Penalty(w) >= 0 for all w. True for the norm family and dynprior;
   /// false for density-based priors whose -log p(w) can go negative.
   bool penalty_nonnegative = true;
@@ -50,10 +64,18 @@ struct RegContractSpec {
   /// E/M-step seconds); the suite then verifies resume bit-exactness
   /// behaviorally (weights + penalty) instead of comparing state strings.
   bool state_deterministic = true;
-  /// |w| magnitudes where the penalty is non-smooth (0 = kink at zero);
-  /// the FD gradient check samples weights away from these.
-  std::vector<double> kinks;
+  /// Number of leading `kinks` entries in use.
+  std::uint8_t num_kinks = 0;
+
+  /// Factory config string (one of RegularizerExampleConfigs()).
+  const std::string& config() const;
 };
+
+// No padding: every byte of the object belongs to a member.
+static_assert(sizeof(RegContractSpec) ==
+              RegContractSpec::kMaxKinks * sizeof(double) +
+                  sizeof(std::int16_t) + 5 * sizeof(bool) +
+                  sizeof(std::uint8_t));
 
 /// One spec per factory example config, in RegularizerExampleConfigs()
 /// order. The suite cross-checks this list against RegularizerKinds() and
